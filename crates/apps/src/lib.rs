@@ -19,7 +19,9 @@
 //! Each application's program model matches the Total Variables / Total
 //! Clusters of the paper's Table II, and inputs are synthetic but fixed
 //! (loaded through the `mixp-runtime` mp I/O library, so the precision
-//! conversion path of §III-A.a is exercised on every run).
+//! conversion path of §III-A.a is exercised on every run; hotspot, whose
+//! only definition is its IR program, rounds its inputs through the
+//! same storage precisions at array declaration instead).
 
 mod blackscholes;
 mod cfd;

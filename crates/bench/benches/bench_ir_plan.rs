@@ -1,17 +1,20 @@
-//! Plan-interpretation A/B bench: each IR-ported kernel run through its
-//! hand-written `Benchmark::run` (`direct`) vs the compiled execution
-//! plan, with compilation either paid on every run (`plan-cold`) or
-//! served from a shared `PlanCache` (`plan-cached`).
+//! Plan-interpretation A/B bench: each IR-ported kernel run through the
+//! IR's element-wise reference interpreter (`reference`, the default
+//! `Benchmark::run`) vs the compiled execution plan, with compilation
+//! either paid on every run (`plan-cold`) or served from a shared
+//! `PlanCache` (`plan-cached`).
 //!
 //! All three arms produce bit-identical outputs, op counts and cache
 //! statistics (property-tested in `tests/integration_properties.rs`);
 //! what differs is interpretation overhead. The plan resolves every
-//! op's precision and rounding once per configuration, so the hot loop
-//! runs with zero per-op config dispatch, and the spread between
-//! `plan-cold` and `plan-cached` isolates the compile cost itself.
+//! op's precision and rounding once per configuration, hoists
+//! loop-invariant accounting and runs vectorizable sweeps as slice
+//! instructions, and the spread between `plan-cold` and `plan-cached`
+//! isolates the compile cost itself.
 
 use mixp_core::perf::bench::{black_box, BenchGroup};
-use mixp_core::{run_config, run_config_direct, run_config_planned, CacheParams, PlanCache};
+use mixp_core::perf::Hierarchy;
+use mixp_core::{run_config, run_config_planned, CacheParams, ExecCtx, PlanCache};
 use mixp_harness::{benchmark_by_name, Scale};
 use std::time::Duration;
 
@@ -34,8 +37,14 @@ fn main() {
         let pm = bench.program();
         let first = pm.clustering().ids().next().unwrap();
         let cfg = pm.config_from_clusters([first]);
-        group.bench_function(format!("{name}/direct"), |b| {
-            b.iter(|| black_box(run_config_direct(bench.as_ref(), &cfg, params)))
+        // The same reused, reset-per-run hierarchy `run_config` keeps.
+        let mut hierarchy = Hierarchy::new(params);
+        group.bench_function(format!("{name}/reference"), |b| {
+            b.iter(|| {
+                hierarchy.reset();
+                let mut ctx = ExecCtx::with_tracer(&cfg, &mut hierarchy);
+                black_box(bench.run(&mut ctx))
+            })
         });
         group.bench_function(format!("{name}/plan-cold"), |b| {
             b.iter(|| black_box(run_config(bench.as_ref(), &cfg, params)))

@@ -9,7 +9,7 @@
 //! lowering actually moves the memory system.
 
 use mixp_core::perf::{attribute, AccessProfiler};
-use mixp_core::ExecCtx;
+use mixp_core::{compile_plan, run_plan, ExecCtx};
 use mixp_harness::report::render_table;
 use mixp_harness::{benchmark_by_name, Scale};
 
@@ -22,7 +22,12 @@ fn main() {
     let cfg = bench.program().config_all_double();
     let mut profiler = AccessProfiler::new();
     let mut ctx = ExecCtx::with_tracer(&cfg, &mut profiler);
-    let _ = bench.run(&mut ctx);
+    // Dispatch like `run_config`: the compiled plan for IR programs (the
+    // production path), the benchmark's own `run` otherwise.
+    let _ = match bench.ir_program() {
+        Some(prog) => run_plan(&compile_plan(prog, &cfg), &mut ctx),
+        None => bench.run(&mut ctx),
+    };
     let allocations = ctx.allocations().to_vec();
     drop(ctx);
 

@@ -51,22 +51,35 @@ pub trait Benchmark: Send + Sync {
     /// Executes the benchmark under the configuration carried by `ctx` and
     /// returns its verification output (the values the metric compares).
     ///
-    /// Implementations must route all tunable storage through
-    /// [`mixp_float::MpVec`] / [`mixp_float::MpScalar`] and report their
-    /// arithmetic via [`ExecCtx::flop`] / [`ExecCtx::heavy`] so that both
-    /// the numerics and the cost accounting reflect the configuration.
-    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64>;
+    /// The default runs [`Benchmark::ir_program`] through the IR's
+    /// reference interpreter ([`crate::irplan::run_reference`]), so an
+    /// IR-ported benchmark has exactly one executable definition: its
+    /// program. Benchmarks the IR cannot express override `run` and must
+    /// route all tunable storage through [`mixp_float::MpVec`] /
+    /// [`mixp_float::MpScalar`] and report their arithmetic via
+    /// [`ExecCtx::flop`] / [`ExecCtx::heavy`], so that both the numerics
+    /// and the cost accounting reflect the configuration.
+    ///
+    /// # Panics
+    ///
+    /// The default panics if the benchmark has no IR program.
+    fn run(&self, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
+        let prog = self
+            .ir_program()
+            .expect("a benchmark without an IR program must override `run`");
+        crate::irplan::run_reference(prog, ctx)
+    }
 
     /// The benchmark expressed as a [`mixp_ir::Program`], if it has been
     /// ported to the IR.
     ///
-    /// When present, the evaluator compiles `(program, configuration)`
-    /// pairs into specialized execution plans (cached per configuration
-    /// fingerprint) and interprets those instead of calling
-    /// [`Benchmark::run`]. The contract is strict bit-equivalence: the
-    /// program must reproduce `run`'s outputs, operation counts and
-    /// access stream exactly, for every configuration — `run` stays the
-    /// executable specification, property-tested against the plan path.
+    /// When present, the program *is* the benchmark: [`Benchmark::run`]
+    /// interprets it, and the evaluator compiles `(program,
+    /// configuration)` pairs into specialized execution plans (cached per
+    /// configuration fingerprint) and runs those instead. Plans are
+    /// property-tested bit-identical to the reference interpreter —
+    /// outputs, operation counts and access stream — for arbitrary
+    /// configurations.
     fn ir_program(&self) -> Option<&mixp_ir::Program> {
         None
     }

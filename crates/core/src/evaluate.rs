@@ -379,7 +379,7 @@ impl ReferenceCache {
 /// specialized plan, compiled cold on each call; attach a [`PlanCache`]
 /// (via [`EvaluatorBuilder::plan_cache`] or [`run_config_planned`]) to
 /// amortise compilation across runs. Either way the result is
-/// bit-identical to [`run_config_direct`].
+/// bit-identical to [`Benchmark::run`], the IR's reference interpreter.
 pub fn run_config(bench: &dyn Benchmark, cfg: &PrecisionConfig, cache: CacheParams) -> RunOutput {
     run_config_with_token(bench, cfg, cache, None, None)
 }
@@ -393,18 +393,6 @@ pub fn run_config_planned(
     plans: &PlanCache,
 ) -> RunOutput {
     run_config_with_token(bench, cfg, cache, None, Some(plans))
-}
-
-/// Runs `bench` under `cfg` through its hand-written [`Benchmark::run`]
-/// path, ignoring any IR port. The executable specification the plan
-/// path is property-tested against, and the baseline arm of the
-/// plan-interpretation benchmarks.
-pub fn run_config_direct(
-    bench: &dyn Benchmark,
-    cfg: &PrecisionConfig,
-    cache: CacheParams,
-) -> RunOutput {
-    run_in_hierarchy(cfg, cache, None, |ctx| bench.run(ctx))
 }
 
 /// [`run_config`] with an optional [`CancelToken`] attached to the run's
@@ -424,20 +412,6 @@ fn run_config_with_token(
         Some(cache) => cache.get_or_compile(prog, cfg),
         None => std::sync::Arc::new(crate::irplan::compile_plan(prog, cfg)),
     });
-    run_in_hierarchy(cfg, cache, token, |ctx| match &plan {
-        Some(plan) => crate::irplan::run_plan(plan, ctx),
-        None => bench.run(ctx),
-    })
-}
-
-/// Shared run scaffolding: per-thread hierarchy reuse, context setup,
-/// counts/stats harvest around one benchmark execution.
-fn run_in_hierarchy(
-    cfg: &PrecisionConfig,
-    cache: CacheParams,
-    token: Option<&CancelToken>,
-    run: impl FnOnce(&mut ExecCtx<'_>) -> Vec<f64>,
-) -> RunOutput {
     // One hierarchy per worker thread, reset between evaluations: building
     // a fresh default hierarchy initialises 4608 lines, which costs more
     // than tracing a small benchmark does, and search loops evaluate
@@ -463,7 +437,10 @@ fn run_in_hierarchy(
         if let Some(token) = token {
             ctx.set_cancel_token(token.clone());
         }
-        let output = run(&mut ctx);
+        let output = match &plan {
+            Some(plan) => crate::irplan::run_plan(plan, &mut ctx),
+            None => bench.run(&mut ctx),
+        };
         let counts = ctx.counts();
         drop(ctx);
         (output, counts, hierarchy.stats())

@@ -7,13 +7,13 @@
 //! stream group's widths resolved once — and interpreting that plan
 //! over raw `f64` slices with zero per-op configuration dispatch.
 //!
-//! The bridge back into the runtime's accounting is [`CtxSink`]: plan
-//! charges route through [`ExecCtx::op_sig`] + `flop_sig`/`heavy_sig`
-//! (so cast accounting is bit-identical to the hand-written `flop`
-//! calls), and stream groups route through [`ExecCtx::commit_streams`]
-//! (so the cache simulator sees exactly the access stream the
-//! hand-written [`mixp_float::StreamGroup`] loops emit, and
-//! cancellation is still polled once per stream per commit).
+//! The bridge back into the runtime's accounting is [`CtxSink`], shared
+//! by plans and the reference interpreter ([`run_reference`]): charges
+//! route through [`ExecCtx::op_sig`] + `flop_sig`/`heavy_sig` (so cast
+//! accounting is that of [`ExecCtx::flop`]), and stream groups route
+//! through [`ExecCtx::commit_streams`] (the primitive behind
+//! [`mixp_float::StreamGroup`], so cancellation is still polled once per
+//! stream per commit).
 //!
 //! Plans depend only on the configuration — not on input data — so the
 //! evaluator caches them per [`ConfigKey`] in a [`PlanCache`] shared by
@@ -110,19 +110,6 @@ impl ExecSink for CtxSink<'_, '_> {
         }
         self.ctx.commit_streams(&self.specs, &self.precs, count);
     }
-
-    fn gather_counts(&mut self, prec: Prec, n: u64, write: bool) {
-        let p = to_precision(prec);
-        if write {
-            self.ctx.count_stores(p, n);
-        } else {
-            self.ctx.count_loads(p, n);
-        }
-    }
-
-    fn trace_elem(&mut self, addr: u64, bytes: u8, write: bool) {
-        self.ctx.trace_untyped(addr, bytes, write);
-    }
 }
 
 thread_local! {
@@ -133,13 +120,27 @@ thread_local! {
 }
 
 /// Executes a compiled plan against `ctx`, returning the verification
-/// output. Drop-in for `bench.run(&mut ctx)` on IR-ported benchmarks.
+/// output — bit-identical, counts and access stream included, to
+/// [`run_reference`] under the same configuration.
 pub fn run_plan(plan: &Plan, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
     SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let mut sink = CtxSink::new(ctx);
         plan.execute(&mut sink, &mut scratch)
     })
+}
+
+/// Runs `prog` under `ctx`'s configuration through the IR's reference
+/// interpreter ([`Program::interpret`]): the executable definition of an
+/// IR-ported benchmark and the default [`crate::Benchmark::run`].
+pub fn run_reference(prog: &Program, ctx: &mut ExecCtx<'_>) -> Vec<f64> {
+    let cfg = ctx.config();
+    let mut prec_of = |var: u32| to_prec(cfg.get(VarId::from_index(var as usize)));
+    prog.interpret(
+        &mut prec_of,
+        mixp_float::half::round_f64_to_f16,
+        &mut CtxSink::new(ctx),
+    )
 }
 
 /// A per-benchmark cache of compiled plans keyed by configuration
@@ -209,8 +210,9 @@ mod tests {
     use mixp_float::{OpCounts, PrecisionConfig};
     use mixp_ir::Sweep;
 
-    /// y = a*x + y over two 2-var clusters, as a plan, compared against
-    /// the equivalent hand-written MpVec loop.
+    /// y = a*x + y over two 2-var clusters, as a plan and through the
+    /// reference interpreter, compared against the equivalent MpVec loop:
+    /// the anchor tying IR semantics to `MpVec` semantics.
     fn axpy_prog(n: usize) -> Program {
         let mut p = Program::new("axpy");
         let x = p.array_init(0, (0..n).map(|i| 0.1 + i as f64 * 0.01).collect());
@@ -263,6 +265,10 @@ mod tests {
             let (href, hcounts) = run_handwritten(cfg, n);
             assert_eq!(out, href, "outputs must be bit-identical");
             assert_eq!(counts, hcounts, "op counts must match");
+            let mut ctx = ExecCtx::new(cfg);
+            let rout = run_reference(&prog, &mut ctx);
+            assert_eq!(rout, href, "reference outputs must be bit-identical");
+            assert_eq!(ctx.counts(), hcounts, "reference op counts must match");
         }
     }
 

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use crate::prog::{ElemStmt, Expr, Program, Stmt, StreamDecl, Sweep};
+use crate::prog::{ElemStmt, Expr, Program, Stmt, Sweep};
 
 /// Analysis results, indexed by pre-order position: `sweeps[i]` is the
 /// `i`-th [`Stmt::Sweep`] encountered walking the body depth-first,
@@ -41,7 +41,7 @@ fn walk(p: &Program, body: &[Stmt], a: &mut Analysis) {
 
 fn for_each_load(e: &Expr, f: &mut impl FnMut(&Expr)) {
     match e {
-        Expr::Load { .. } | Expr::Gather { .. } => f(e),
+        Expr::Load { .. } => f(e),
         Expr::Bin(_, a, b) => {
             for_each_load(a, f);
             for_each_load(b, f);
@@ -55,7 +55,7 @@ fn for_each_load(e: &Expr, f: &mut impl FnMut(&Expr)) {
 /// statement at a time) iff that ordering is observationally identical
 /// to the element-wise loop:
 ///
-/// - every load and store is unit-stride and affine (no gathers);
+/// - every load and store is unit-stride;
 /// - no two statements store to the same array (stores within one
 ///   statement order are then fixed by statement position);
 /// - no loop-carried hazard between a load and a store on the same
@@ -69,13 +69,6 @@ fn for_each_load(e: &Expr, f: &mut impl FnMut(&Expr)) {
 ///   `jL <= jS && L < S` (slice reads old, loop reads new) or
 ///   `jL > jS && L > S` (slice reads new, loop reads old).
 fn vectorizable(s: &Sweep) -> bool {
-    if s
-        .streams
-        .iter()
-        .any(|d| matches!(d, StreamDecl::Gather { .. }))
-    {
-        return false;
-    }
     // (stmt index, arr, start) for unit-stride accesses; None on any
     // non-vectorizable access.
     let mut loads: Vec<(usize, u32, usize)> = Vec::new();
@@ -133,16 +126,7 @@ fn hoistable(p: &Program, body: &[Stmt]) -> bool {
     let mut sweeps: Vec<&Sweep> = Vec::new();
     for stmt in body {
         match stmt {
-            Stmt::Sweep(s) => {
-                if s
-                    .streams
-                    .iter()
-                    .any(|d| matches!(d, StreamDecl::Gather { .. }))
-                {
-                    return false;
-                }
-                sweeps.push(s);
-            }
+            Stmt::Sweep(s) => sweeps.push(s),
             Stmt::Charge { .. } => {}
             // Reductions, scalar resets/emits and nested loops observe or
             // carry state across passes; never hoist over them.
@@ -342,21 +326,6 @@ mod tests {
         // Outer first (not hoistable: body contains a nested repeat),
         // then inner (hoistable).
         assert_eq!(a.repeats, vec![false, true]);
-    }
-
-    #[test]
-    fn gather_blocks_both() {
-        let mut p = Program::new("t");
-        let x = p.array(0, 8);
-        let y = p.array(1, 8);
-        let t = p.table(vec![3, 1, 2, 0]);
-        let s = Sweep::gather(y, x, t, 4);
-        assert!(!super::vectorizable(&s));
-        p.begin_repeat(2);
-        p.sweep(Sweep::gather(y, x, t, 4));
-        p.end_repeat();
-        let a = analyze(&p);
-        assert_eq!(a.repeats, vec![false]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use crate::analyze::{analyze, Analysis};
 use crate::plan::{
-    next_base, ArrRt, BOp, GatherRt, GroupRt, Plan, Step, StreamRt, VOp, VecInst, BASE0, STACK,
+    next_base, ArrRt, BOp, GroupRt, Plan, Step, StreamRt, VOp, VecInst, BASE0, STACK,
 };
 use crate::prog::{BinOp, ElemStmt, Expr, Program, Reduce, Stmt, StreamDecl, Sweep};
 use crate::round::{HalfFn, RoundMode};
@@ -106,7 +106,6 @@ impl Program {
             arrs: arrs.into(),
             groups: groups.into(),
             steps: steps.into(),
-            tables: self.tables.clone().into(),
             scal0: scal0.into(),
             half,
             arena_len,
@@ -248,43 +247,14 @@ impl<'a> Lower<'a> {
     }
 
     fn make_group(&self, streams: &[StreamDecl], count: usize) -> GroupRt {
-        let mut specs = Vec::new();
-        let mut gathers = Vec::new();
-        for d in streams {
-            match d {
-                StreamDecl::Affine {
-                    arr,
-                    start,
-                    step,
-                    write,
-                } => {
-                    let a = self.arrs[arr.0 as usize];
-                    let eb = a.prec.bytes();
-                    specs.push(StreamRt {
-                        base: a.base + *start as u64 * eb,
-                        elem_bytes: eb as u8,
-                        stride: step * eb as i64,
-                        write: *write,
-                        prec: a.prec,
-                    });
-                }
-                StreamDecl::Gather { arr, table, write } => {
-                    let a = self.arrs[arr.0 as usize];
-                    gathers.push(GatherRt {
-                        base: a.base,
-                        elem_bytes: a.prec.bytes() as u8,
-                        table: table.0,
-                        write: *write,
-                        prec: a.prec,
-                    });
-                }
-            }
-        }
-        GroupRt {
-            streams: specs.into(),
-            gathers: gathers.into(),
-            count,
-        }
+        let streams = streams
+            .iter()
+            .map(|d| {
+                let a = self.arrs[d.arr.0 as usize];
+                StreamRt::resolve(d, a.base, a.prec)
+            })
+            .collect();
+        GroupRt { streams, count }
     }
 
     /// Appends a group and returns its index, or `None` for an empty
@@ -415,7 +385,6 @@ impl<'a> Lower<'a> {
                 insts.push(VecInst::Un { op: *op, dst, a });
                 VOp::Temp(dst)
             }
-            Expr::Gather { .. } => unreachable!("gather in vectorized sweep"),
         }
     }
 
@@ -504,18 +473,6 @@ impl<'a> Lower<'a> {
                     BOp::Load {
                         off: a.off as i64 + *start as i64,
                         step: *step,
-                    },
-                    depth,
-                    max,
-                );
-            }
-            Expr::Gather { arr, table } => {
-                let a = self.arrs[arr.0 as usize];
-                push(
-                    code,
-                    BOp::Gather {
-                        off: a.off,
-                        table: table.0,
                     },
                     depth,
                     max,
@@ -679,30 +636,6 @@ mod tests {
         assert_eq!(total(&sh), total(&sl));
         assert_eq!(sh.charges.len(), 1, "hoisted: one folded charge");
         assert_eq!(sl.charges.len(), 5, "loop: one charge per pass");
-    }
-
-    #[test]
-    fn gather_traces_each_element() {
-        let mut p = Program::new("g");
-        let x = p.array_init(0, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = p.array(1, 3);
-        let t = p.table(vec![3, 0, 2]);
-        p.sweep(Sweep::gather(y, x, t, 3));
-        p.output(y);
-        let plan = p.compile(&mut all(Prec::Double), test_half);
-        let mut sink = RecordingSink::new();
-        let out = plan.execute(&mut sink, &mut Scratch::new());
-        assert_eq!(out, vec![4.0, 1.0, 3.0]);
-        assert_eq!(sink.gathers, vec![(Prec::Double, 3, false)]);
-        assert_eq!(
-            sink.elems,
-            vec![
-                (0x1000 + 24, 8, false),
-                (0x1000, 8, false),
-                (0x1000 + 16, 8, false)
-            ]
-        );
-        assert_eq!(sink.groups.len(), 1, "store stream still commits");
     }
 
     #[test]

@@ -4,58 +4,64 @@
 //!
 //! # Why an IR
 //!
-//! The hand-written benchmarks consult per-handle precision state on
-//! every sweep even though a precision config fixes every decision
-//! before the first flop. Search algorithms price thousands of configs
-//! per benchmark, so ahead-of-time specialization is the biggest
-//! hot-path lever: compile once per config, then re-run the plan with
-//! zero per-op config dispatch.
+//! A [`Program`] is the one executable definition of a benchmark: the
+//! reference interpreter ([`Program::interpret`]) says what it computes
+//! and accounts, element by element. Search algorithms price thousands
+//! of configs per benchmark, and a precision config fixes every
+//! rounding decision before the first flop, so ahead-of-time
+//! specialization is the biggest hot-path lever: compile once per
+//! config, then re-run the plan with zero per-op config dispatch.
 //!
 //! # Pipeline
 //!
 //! 1. **[`Program`]** — typed arrays/scalars, bulk ops
 //!    ([`Sweep::fill`], [`Sweep::axpy`], [`Sweep::xpby`],
-//!    [`Sweep::scale`], [`Sweep::map`], [`Sweep::gather`],
-//!    [`Reduce::dot`], [`Reduce::sum`]), custom element-wise sweeps,
-//!    reductions, and counted loops with static trip counts
+//!    [`Sweep::scale`], [`Sweep::map`], [`Reduce::dot`],
+//!    [`Reduce::sum`]), custom element-wise sweeps, reductions, and
+//!    counted loops with static trip counts
 //!    ([`Program::begin_repeat`]).
-//! 2. **Analysis** (config-independent, cached on the program):
-//!    per-sweep vectorizability (unit strides, no gathers, no
-//!    loop-carried hazards) and per-loop *charge hoistability* (a pass
-//!    body whose every load reads either a value recomputed earlier in
-//!    the same pass or a never-written input recomputes the identical
-//!    values every pass, so compute can run once while accounting is
-//!    replayed in closed form).
-//! 3. **[`Program::compile`]** — constant precision propagation
+//! 2. **[`Program::interpret`]** — the reference semantics: arrays
+//!    reserved in declaration order, each sweep/reduction committing its
+//!    declared streams once and then evaluating element by element,
+//!    rounding only through [`RoundMode::apply`], loops run as loops.
+//! 3. **Analysis** (config-independent, cached on the program):
+//!    per-sweep vectorizability (unit strides, no loop-carried hazards)
+//!    and per-loop *charge hoistability* (a pass body whose every load
+//!    reads either a value recomputed earlier in the same pass or a
+//!    never-written input recomputes the identical values every pass,
+//!    so compute can run once while accounting is replayed in closed
+//!    form).
+//! 4. **[`Program::compile`]** — constant precision propagation
 //!    resolves every array/scalar to a concrete [`RoundMode`] once;
 //!    dead-cast elimination turns same-precision (double) stores into
 //!    plain copies; loop-invariant charge hoisting folds per-iteration
 //!    flop/heavy/memory charges into [`StreamRt`] groups replayed
 //!    `times` passes while the compute steps run once. Array init data
 //!    is pre-rounded per precision and memoized on the program.
-//! 4. **[`Plan::execute`]** — a plan interpreter over a raw `f64`
+//! 5. **[`Plan::execute`]** — a plan interpreter over a raw `f64`
 //!    arena. Vectorizable sweeps run as three-address slice
 //!    instructions, serial sweeps as a tiny stack bytecode; all
-//!    accounting (charges, stream groups, gather elements) is emitted
-//!    through the [`ExecSink`] trait so the embedder can route it to
-//!    its op counters and memory tracer and observe the **identical**
-//!    access stream the hand-written path produces.
+//!    accounting (charges, stream groups) is emitted through the
+//!    [`ExecSink`] trait so the embedder can route it to its op counters
+//!    and memory tracer and observe the **identical** access stream the
+//!    reference interpreter produces.
 //!
 //! The crate is dependency-free by design: variables are raw `u32`
 //! ids, precision is the three-level [`Prec`] lattice, and the
 //! extended-format (f16) rounding function is injected as a plain
 //! `fn(f64) -> f64` pointer. All f32/f16 rounding lives in the
-//! sanctioned [`round`] module — plan interpretation itself never
-//! touches a narrow float type.
+//! sanctioned [`round`] module — neither interpreter touches a narrow
+//! float type outside it.
 
 mod analyze;
 mod compile;
+mod interp;
 mod plan;
 mod prog;
 pub mod round;
 
-pub use plan::{ExecSink, GatherRt, Plan, RecordingSink, Scratch, StreamRt};
-pub use prog::{ArrId, BinOp, ElemStmt, Expr, Reduce, ScalId, Stmt, StreamDecl, Sweep, TabId, UnOp};
+pub use plan::{ExecSink, Plan, RecordingSink, Scratch, StreamRt};
+pub use prog::{ArrId, BinOp, ElemStmt, Expr, Reduce, ScalId, Stmt, StreamDecl, Sweep, UnOp};
 pub use prog::Program;
 pub use round::{HalfFn, RoundMode};
 

@@ -5,12 +5,13 @@
 //! with every precision decision resolved to a [`RoundMode`] and every
 //! access stream resolved to absolute synthetic addresses. Executing a
 //! plan performs **zero** per-op config dispatch; all accounting flows
-//! through the [`ExecSink`] trait so the embedder sees the identical
-//! charge/trace sequence the hand-written benchmark produces.
+//! through the [`ExecSink`] trait so the embedder sees the same charge
+//! totals and the identical committed stream groups the reference
+//! interpreter produces.
 
 use std::sync::Arc;
 
-use crate::prog::{BinOp, UnOp};
+use crate::prog::{BinOp, StreamDecl, UnOp};
 use crate::round::{HalfFn, RoundMode};
 use crate::Prec;
 
@@ -36,22 +37,25 @@ pub struct StreamRt {
     pub prec: Prec,
 }
 
-/// A fully-resolved gather stream: iteration `k` touches
-/// `base + table[k] * elem_bytes`. Counted in bulk, traced per element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatherRt {
-    pub base: u64,
-    pub elem_bytes: u8,
-    pub table: u32,
-    pub write: bool,
-    pub prec: Prec,
+impl StreamRt {
+    /// Resolves a declared stream against its array's base address and
+    /// storage precision.
+    pub(crate) fn resolve(d: &StreamDecl, base: u64, prec: Prec) -> StreamRt {
+        let eb = prec.bytes();
+        StreamRt {
+            base: base + d.start as u64 * eb,
+            elem_bytes: eb as u8,
+            stride: d.step * eb as i64,
+            write: d.write,
+            prec,
+        }
+    }
 }
 
 /// One committed accounting group: the streams of one sweep/reduction.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupRt {
     pub streams: Box<[StreamRt]>,
-    pub gathers: Box<[GatherRt]>,
     pub count: usize,
 }
 
@@ -102,8 +106,6 @@ pub(crate) enum VecInst {
 pub(crate) enum BOp {
     /// Push `arena[off + k * step]` (element offsets).
     Load { off: i64, step: i64 },
-    /// Push `arena[off + table[k]]`.
-    Gather { off: usize, table: u32 },
     K(f64),
     Scal(u32),
     Local(u32),
@@ -190,10 +192,11 @@ pub(crate) struct ArrRt {
     pub prec: Prec,
 }
 
-/// Where a plan's accounting goes: the embedder routes charges to its
-/// op counters, groups to its batched tracer, gathers to per-element
-/// tracing. A plan run emits the identical sink-call sequence the
-/// hand-written benchmark path produces.
+/// Where a program run's accounting goes: the embedder routes charges
+/// to its op counters and stream groups to its batched tracer. A plan
+/// and the reference interpreter ([`crate::Program::interpret`]) drive
+/// the same sink with the same reservations, the same charge totals and
+/// the identical sequence of committed groups.
 pub trait ExecSink {
     /// Registers array `var` (`len` elements at `prec`) and returns its
     /// synthetic base address. Called once per array, in declaration
@@ -205,10 +208,6 @@ pub trait ExecSink {
     /// Commits `count` iterations of an affine stream group: count every
     /// stream's loads/stores and emit one batched trace call.
     fn commit_group(&mut self, streams: &[StreamRt], count: usize);
-    /// Bulk-counts `n` gathered loads/stores at `prec`.
-    fn gather_counts(&mut self, prec: Prec, n: u64, write: bool);
-    /// Traces one gathered element access.
-    fn trace_elem(&mut self, addr: u64, bytes: u8, write: bool);
 }
 
 /// Reusable per-thread execution scratch (arena, temporaries, scalar
@@ -234,7 +233,6 @@ pub struct Plan {
     pub(crate) arrs: Box<[ArrRt]>,
     pub(crate) groups: Box<[GroupRt]>,
     pub(crate) steps: Box<[Step]>,
-    pub(crate) tables: Box<[Arc<[usize]>]>,
     pub(crate) scal0: Box<[f64]>,
     pub(crate) half: HalfFn,
     pub(crate) arena_len: usize,
@@ -278,22 +276,8 @@ impl Plan {
                     let gs = &self.groups[*first as usize..(*first + *n) as usize];
                     for _ in 0..*repeats {
                         for g in gs {
-                            if g.count == 0 {
-                                continue;
-                            }
-                            if !g.streams.is_empty() {
+                            if g.count > 0 && !g.streams.is_empty() {
                                 sink.commit_group(&g.streams, g.count);
-                            }
-                            for ga in g.gathers.iter() {
-                                sink.gather_counts(ga.prec, g.count as u64, ga.write);
-                                let tab = &self.tables[ga.table as usize];
-                                for &idx in &tab[..g.count] {
-                                    sink.trace_elem(
-                                        ga.base + idx as u64 * ga.elem_bytes as u64,
-                                        ga.elem_bytes,
-                                        ga.write,
-                                    );
-                                }
                             }
                         }
                     }
@@ -475,10 +459,6 @@ impl Plan {
                     stack[sp] = arena[(off + k * step) as usize];
                     sp += 1;
                 }
-                BOp::Gather { off, table } => {
-                    stack[sp] = arena[off + self.tables[table as usize][k as usize]];
-                    sp += 1;
-                }
                 BOp::K(v) => {
                     stack[sp] = v;
                     sp += 1;
@@ -605,10 +585,6 @@ pub struct RecordingSink {
     pub charges: Vec<(bool, u32, Vec<u32>, u64)>,
     /// `(streams, count)` per committed group.
     pub groups: Vec<(Vec<StreamRt>, usize)>,
-    /// `(prec, n, write)` per bulk gather count.
-    pub gathers: Vec<(Prec, u64, bool)>,
-    /// `(addr, bytes, write)` per traced gather element.
-    pub elems: Vec<(u64, u8, bool)>,
 }
 
 impl Default for RecordingSink {
@@ -617,8 +593,6 @@ impl Default for RecordingSink {
             next_base: BASE0,
             charges: Vec::new(),
             groups: Vec::new(),
-            gathers: Vec::new(),
-            elems: Vec::new(),
         }
     }
 }
@@ -642,13 +616,5 @@ impl ExecSink for RecordingSink {
 
     fn commit_group(&mut self, streams: &[StreamRt], count: usize) {
         self.groups.push((streams.to_vec(), count));
-    }
-
-    fn gather_counts(&mut self, prec: Prec, n: u64, write: bool) {
-        self.gathers.push((prec, n, write));
-    }
-
-    fn trace_elem(&mut self, addr: u64, bytes: u8, write: bool) {
-        self.elems.push((addr, bytes, write));
     }
 }

@@ -2,12 +2,12 @@
 //! sweeps with declared access streams, reductions, and counted loops.
 //!
 //! A [`Program`] is built once per benchmark (config-independent) and
-//! compiled per precision assignment by [`Program::compile`]. Builders
-//! mirror the hand-written `MpVec` idiom: arrays are declared in
-//! allocation order (which fixes their synthetic addresses), every
-//! sweep declares its access streams in the exact order the
-//! element-wise loop would touch memory, and bulk flop/heavy charges
-//! are recorded as explicit statements.
+//! run by [`Program::interpret`] or compiled per precision assignment
+//! by [`Program::compile`]. Builders follow the `MpVec` idiom: arrays
+//! are declared in allocation order (which fixes their synthetic
+//! addresses), every sweep declares its access streams in the exact
+//! order the element-wise loop touches memory, and bulk flop/heavy
+//! charges are recorded as explicit statements.
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,10 +20,6 @@ pub struct ArrId(pub(crate) u32);
 /// Index of a scalar declaration within its [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ScalId(pub(crate) u32);
-
-/// Index of a gather index table within its [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TabId(pub(crate) u32);
 
 #[derive(Debug, Clone)]
 pub(crate) struct ArrayDecl {
@@ -67,8 +63,6 @@ pub enum UnOp {
 pub enum Expr {
     /// `arr[start + k * step]`.
     Load { arr: ArrId, start: usize, step: i64 },
-    /// `arr[table[k]]` — a data-dependent gather (always serial).
-    Gather { arr: ArrId, table: TabId },
     /// The current value of a scalar variable.
     Scal(ScalId),
     /// A sweep-local binding introduced by [`Sweep::bind`] /
@@ -89,11 +83,6 @@ impl Expr {
     /// Strided load `arr[start + k * step]` (step may be negative or zero).
     pub fn load(arr: ArrId, start: usize, step: i64) -> Expr {
         Expr::Load { arr, start, step }
-    }
-
-    /// Gather load `arr[table[k]]`.
-    pub fn gather(arr: ArrId, table: TabId) -> Expr {
-        Expr::Gather { arr, table }
     }
 
     /// Literal constant.
@@ -145,21 +134,17 @@ impl std::ops::Div for Expr {
     }
 }
 
-/// One declared access stream of a sweep or reduction — accounting
-/// metadata only (the op counters and memory tracer see these; the
-/// element expressions carry the actual dataflow). Declared in the
-/// exact order the hand-written element-wise loop touches memory.
+/// One declared access stream of a sweep or reduction,
+/// `arr[start + k * step]` with one access per committed iteration —
+/// accounting metadata only (the op counters and memory tracer see
+/// these; the element expressions carry the actual dataflow). Declared
+/// in the exact order the element-wise loop touches memory.
 #[derive(Debug, Clone)]
-pub enum StreamDecl {
-    /// `arr[start + k * step]`, one access per committed iteration.
-    Affine {
-        arr: ArrId,
-        start: usize,
-        step: i64,
-        write: bool,
-    },
-    /// `arr[table[k]]` — counted in bulk, traced per element.
-    Gather { arr: ArrId, table: TabId, write: bool },
+pub struct StreamDecl {
+    pub arr: ArrId,
+    pub start: usize,
+    pub step: i64,
+    pub write: bool,
 }
 
 /// One element-wise statement of a sweep body.
@@ -215,7 +200,7 @@ impl Sweep {
 
     /// Declares a strided load stream.
     pub fn load_strided(&mut self, arr: ArrId, start: usize, step: i64) -> &mut Self {
-        self.streams.push(StreamDecl::Affine {
+        self.streams.push(StreamDecl {
             arr,
             start,
             step,
@@ -231,21 +216,11 @@ impl Sweep {
 
     /// Declares a strided store stream.
     pub fn store_strided(&mut self, arr: ArrId, start: usize, step: i64) -> &mut Self {
-        self.streams.push(StreamDecl::Affine {
+        self.streams.push(StreamDecl {
             arr,
             start,
             step,
             write: true,
-        });
-        self
-    }
-
-    /// Declares a gather load stream through an index table.
-    pub fn load_gather(&mut self, arr: ArrId, table: TabId) -> &mut Self {
-        self.streams.push(StreamDecl::Gather {
-            arr,
-            table,
-            write: false,
         });
         self
     }
@@ -342,14 +317,6 @@ impl Sweep {
         s.set(dst, 0, f(Expr::at(src, 0)));
         s
     }
-
-    /// `dst[k] = src[table[k]]` (serial; traced per element).
-    pub fn gather(dst: ArrId, src: ArrId, table: TabId, count: usize) -> Sweep {
-        let mut s = Sweep::new(count);
-        s.load_gather(src, table).store(dst, 0);
-        s.set(dst, 0, Expr::gather(src, table));
-        s
-    }
 }
 
 /// A counted reduction: `for k in 0..count { acc = round(acc + expr(k)) }`,
@@ -376,7 +343,7 @@ impl Reduce {
 
     /// Declares a unit-stride load stream.
     pub fn load(&mut self, arr: ArrId, start: usize) -> &mut Self {
-        self.streams.push(StreamDecl::Affine {
+        self.streams.push(StreamDecl {
             arr,
             start,
             step: 1,
@@ -431,7 +398,6 @@ pub struct Program {
     pub(crate) arrays: Vec<ArrayDecl>,
     pub(crate) scalars: Vec<ScalarDecl>,
     pub(crate) consts: Vec<Arc<[f64]>>,
-    pub(crate) tables: Vec<Arc<[usize]>>,
     pub(crate) body: Vec<Stmt>,
     pub(crate) outputs: Vec<ArrId>,
     /// Open `begin_repeat` bodies (builder state only).
@@ -450,7 +416,6 @@ impl Clone for Program {
             arrays: self.arrays.clone(),
             scalars: self.scalars.clone(),
             consts: self.consts.clone(),
-            tables: self.tables.clone(),
             body: self.body.clone(),
             outputs: self.outputs.clone(),
             open: Vec::new(),
@@ -469,7 +434,6 @@ impl Program {
             arrays: Vec::new(),
             scalars: Vec::new(),
             consts: Vec::new(),
-            tables: Vec::new(),
             body: Vec::new(),
             outputs: Vec::new(),
             open: Vec::new(),
@@ -485,9 +449,9 @@ impl Program {
 
     // --- declarations ----------------------------------------------------
     //
-    // Declaration order is allocation order: synthetic base addresses are
-    // assigned exactly as `ExecCtx::reserve` would, so IR programs must
-    // declare arrays in the same order the hand-written path allocates.
+    // Declaration order is allocation order: every run reserves the
+    // arrays through `ExecSink::reserve` in this order, which fixes their
+    // synthetic base addresses.
 
     /// Declares a zero-initialised array bound to program variable `var`.
     pub fn array(&mut self, var: u32, len: usize) -> ArrId {
@@ -519,13 +483,6 @@ impl Program {
     pub fn scalar(&mut self, var: u32, value: f64) -> ScalId {
         let id = ScalId(self.scalars.len() as u32);
         self.scalars.push(ScalarDecl { var, value });
-        id
-    }
-
-    /// Declares a gather index table.
-    pub fn table(&mut self, indices: Vec<usize>) -> TabId {
-        let id = TabId(self.tables.len() as u32);
-        self.tables.push(indices.into());
         id
     }
 
@@ -643,11 +600,8 @@ mod tests {
         let s = Sweep::axpy(y, x, 8, Expr::k(2.0));
         // load x, load y, store y — the order the element loop reads.
         assert_eq!(s.streams.len(), 3);
-        assert!(matches!(
-            s.streams[0],
-            StreamDecl::Affine { write: false, .. }
-        ));
-        assert!(matches!(s.streams[2], StreamDecl::Affine { write: true, .. }));
+        assert!(!s.streams[0].write);
+        assert!(s.streams[2].write);
         p.sweep(s);
     }
 

@@ -5,13 +5,13 @@
 //! exactly once (constant precision propagation), and dead-cast
 //! elimination is simply [`RoundMode::Id`]: a double-precision cluster
 //! stores with a plain copy, no fn-pointer call per element.
-//! `scripts/check_hermetic.sh` greps the rest of `crates/ir/src` for
-//! `f32` / `round_to(` to keep rounding from leaking into plan
-//! interpretation.
+//! `scripts/check_hermetic.sh` greps the rest of `crates/ir/src` (all
+//! but `plan.rs`'s fused loops) for `f32` / `round_to(` to keep
+//! rounding from leaking into the interpreters.
 
 /// Rounds a value to the extended narrow format (IEEE binary16 in the
 /// runtime). Injected by the embedder so this crate stays
-/// dependency-free and bit-identical to the hand-written path.
+/// dependency-free and rounds exactly like the runtime's `MpVec`.
 pub type HalfFn = fn(f64) -> f64;
 
 /// A store's fully-resolved rounding behaviour.

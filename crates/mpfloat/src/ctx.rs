@@ -150,7 +150,7 @@ impl<'a> ExecCtx<'a> {
 
     /// The configuration this run executes under.
     #[inline]
-    pub fn config(&self) -> &PrecisionConfig {
+    pub fn config(&self) -> &'a PrecisionConfig {
         self.cfg
     }
 
@@ -331,7 +331,7 @@ impl<'a> ExecCtx<'a> {
     /// This is the accounting primitive behind both
     /// [`crate::StreamGroup::commit`] and compiled execution plans, so a
     /// plan-interpreted sweep is indistinguishable — counters and access
-    /// stream alike — from the hand-written grouped loop.
+    /// stream alike — from a `StreamGroup` loop over `MpVec`s.
     pub fn commit_streams(
         &mut self,
         specs: &[StreamSpec],

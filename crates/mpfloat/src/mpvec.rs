@@ -161,12 +161,6 @@ impl MpVec {
         self.base
     }
 
-    /// Bytes per element as stored (the configured width).
-    #[inline]
-    pub fn elem_bytes(&self) -> u64 {
-        self.prec.bytes()
-    }
-
     /// The synthetic address of element `i`.
     #[inline]
     pub fn elem_addr(&self, i: usize) -> u64 {
@@ -260,13 +254,6 @@ impl MpVec {
         // Rounding is a pure function of the input, so rounding once is
         // exactly rounding per element.
         self.data.fill((self.round)(v));
-    }
-
-    /// Stores `v` into elements `start .. start + n`. Canonical loop:
-    /// `for i in start..start + n { self.set(ctx, i, v) }`.
-    pub fn fill_range(&mut self, ctx: &mut ExecCtx<'_>, start: usize, n: usize, v: f64) {
-        ctx.record_stores(self.prec, self.base, start, n);
-        self.data[start..start + n].fill((self.round)(v));
     }
 
     /// Copies `src` into `self`, re-rounding into `self`'s storage
@@ -429,20 +416,6 @@ impl MpVec {
         }
         acc.assign_prerounded(a);
         acc2.assign_prerounded(b);
-    }
-
-    /// Stores `f(i)` into every element. Canonical loop:
-    /// `for i { self.set(ctx, i, f(i)) }`. The closure must not perform
-    /// counted or traced work of its own (it receives no context).
-    pub fn map_store(&mut self, ctx: &mut ExecCtx<'_>, mut f: impl FnMut(usize) -> f64) {
-        let n = self.data.len();
-        ctx.count_stores(self.prec, n as u64);
-        ctx.trace_group(&[self.stream_store(0, 1)], n);
-        per_prec!(self.prec, r, {
-            for (i, d) in self.data.iter_mut().enumerate() {
-                *d = r(f(i));
-            }
-        });
     }
 
     // ------------------------------------------------------------------
@@ -900,24 +873,6 @@ mod bulk_equivalence_tests {
     }
 
     #[test]
-    fn fill_range_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 1));
-                v.fill_range(ctx, 3, 9, -0.75);
-                v.snapshot()
-            },
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 1));
-                for i in 3..12 {
-                    v.set(ctx, i, -0.75);
-                }
-                v.snapshot()
-            },
-        );
-    }
-
-    #[test]
     fn copy_from_matches_scalar_loop() {
         check_equivalence(
             |ctx, [a, b, _]| {
@@ -1087,24 +1042,6 @@ mod bulk_equivalence_tests {
                     s2.set(ctx, s2.get() + v * v);
                 }
                 vec![s.get(), s2.get()]
-            },
-        );
-    }
-
-    #[test]
-    fn map_store_matches_scalar_loop() {
-        check_equivalence(
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 15));
-                v.map_store(ctx, |i| (i as f64).sin());
-                v.snapshot()
-            },
-            |ctx, [a, _, _]| {
-                let mut v = MpVec::from_values(ctx, a, &seeded(N, 15));
-                for i in 0..v.len() {
-                    v.set(ctx, i, (i as f64).sin());
-                }
-                v.snapshot()
             },
         );
     }

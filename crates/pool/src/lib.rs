@@ -219,13 +219,30 @@ struct PoolInner {
     /// thread's handle (it may never exit; joining it would hang shutdown
     /// forever) and stores the replacement's handle in its place.
     join: Mutex<Vec<Option<std::thread::JoinHandle<()>>>>,
+    /// Spawned worker threads that have not exited yet, counted by the
+    /// spawning thread (so the count never depends on when a worker
+    /// starts) and decremented by the worker on its way out.
     live: AtomicUsize,
     peak: AtomicUsize,
+    /// Serialises [`PoolInner::publish_thread_gauges`]: each publish reads
+    /// the atomics and writes both gauges under it, so the last publish
+    /// after the last change always leaves the gauges exact.
+    gauges: Mutex<()>,
     steal: StealPolicy,
     obs: Obs,
 }
 
 impl PoolInner {
+    /// Writes `pool.live_threads` and `pool.peak_threads` from the pool's
+    /// own counters.
+    fn publish_thread_gauges(&self) {
+        let _serial = lock_recovering(&self.gauges);
+        let live = self.live.load(Ordering::SeqCst);
+        let peak = self.peak.load(Ordering::SeqCst);
+        self.obs.gauge_set("pool.live_threads", live as f64);
+        self.obs.gauge_set("pool.peak_threads", peak as f64);
+    }
+
     /// Pushes tasks into the injector and wakes parked workers. Always
     /// called — even when every task went to a worker's own deque — because
     /// the notification must be issued under the injector lock for parked
@@ -429,12 +446,14 @@ impl Pool {
             join: Mutex::new(Vec::new()),
             live: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
+            gauges: Mutex::new(()),
             steal,
             obs,
         });
         inner.obs.counter_add("pool.created", 1);
         let join = (0..threads).map(|index| spawn_worker(&inner, index, 0)).collect();
         *lock_recovering(&inner.join) = join;
+        inner.publish_thread_gauges();
         Pool { inner }
     }
 
@@ -554,6 +573,7 @@ impl Pool {
             ],
         );
         let replacement = spawn_worker(inner, index, epoch);
+        inner.publish_thread_gauges();
         let mut join = lock_recovering(&inner.join);
         if let Some(slot) = join.get_mut(index) {
             // Dropping the old handle detaches the wedged thread; the OS
@@ -701,6 +721,7 @@ impl Drop for Pool {
                 let _ = handle.join();
             }
         }
+        self.inner.publish_thread_gauges();
     }
 }
 
@@ -713,12 +734,19 @@ fn spawn_worker(
     epoch: usize,
 ) -> Option<std::thread::JoinHandle<()>> {
     let worker_inner = Arc::clone(inner);
+    // Counted before the spawn so the worker's exit decrement can never
+    // run first.
+    let live = inner.live.fetch_add(1, Ordering::SeqCst) + 1;
     let spawned = std::thread::Builder::new()
         .name(format!("mixp-pool-{index}"))
         .spawn(move || worker_main(worker_inner, index, epoch));
     match spawned {
-        Ok(handle) => Some(handle),
+        Ok(handle) => {
+            inner.peak.fetch_max(live, Ordering::SeqCst);
+            Some(handle)
+        }
         Err(err) => {
+            inner.live.fetch_sub(1, Ordering::SeqCst);
             eprintln!(
                 "warning: pool worker {index} failed to spawn ({err}); continuing with fewer workers"
             );
@@ -735,12 +763,6 @@ fn worker_main(inner: Arc<PoolInner>, index: usize, epoch: usize) {
             worker: Some(slot),
         });
     });
-    let live = inner.live.fetch_add(1, Ordering::Relaxed) + 1;
-    inner.peak.fetch_max(live, Ordering::Relaxed);
-    inner.obs.gauge_set("pool.live_threads", live as f64);
-    inner
-        .obs
-        .gauge_set("pool.peak_threads", inner.peak.load(Ordering::Relaxed) as f64);
     loop {
         match inner.find_task(slot) {
             // Quarantined: a replacement owns the deque now. Exit without
@@ -769,8 +791,10 @@ fn worker_main(inner: Arc<PoolInner>, index: usize, epoch: usize) {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         drop(injector);
     }
-    let live = inner.live.fetch_sub(1, Ordering::Relaxed) - 1;
-    inner.obs.gauge_set("pool.live_threads", live as f64);
+    inner.live.fetch_sub(1, Ordering::SeqCst);
+    // Joined workers are covered by the publish after the join; this one
+    // covers a quarantined worker that exits after the pool is gone.
+    inner.publish_thread_gauges();
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 # MIXP_WORKERS remains the single bound on campaign parallelism, the
 # `mixp-ir` crate must stay dependency-free with precision semantics
 # confined to its round.rs/plan.rs so plans stay bit-identical to the
-# direct path, and Unix-domain-socket use must stay confined to
+# reference interpreter, and Unix-domain-socket use must stay confined to
 # `crates/serve` so the batch harness keeps zero network surface.
 #
 # Finally the loadgen fleet runs in quick mode (MIXP_LOADGEN_QUICK=1):
@@ -178,9 +178,11 @@ echo "== [6/10] IR purity guard: crates/ir dependency-free and precision-agnosti
 # likewise confined: numeric rounding lives in round.rs (RoundMode), and
 # the one sanctioned consumer that inlines those semantics is the plan
 # interpreter's fused loops in plan.rs. Everywhere else — prog, analyze,
-# compile, lib — the IR must stay pure f64 with symbolic precision only,
-# or config-specialized plans quietly stop being bit-identical to the
-# hand-written execution path. Test modules and comments are exempt.
+# compile, interp, lib — the IR must stay pure f64 with symbolic
+# precision only (the reference interpreter rounds solely through
+# RoundMode::apply), or config-specialized plans quietly stop being
+# bit-identical to the reference interpreter. Test modules and comments
+# are exempt.
 ir_dep_violations=$(awk '
   /^\[/ { section = $0 }
   section ~ /dependencies/ && /=/ && !/^[[:space:]]*#/ {

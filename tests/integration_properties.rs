@@ -472,12 +472,57 @@ fn obs_noop_is_bit_identical() {
     });
 }
 
-/// Every IR-ported kernel's config-specialized execution plan is
-/// bit-identical to the hand-written `run` it was compiled from, for
-/// arbitrary mixed-precision configurations: same output bits, same
-/// operation counts, same cache statistics. Both arms are exercised —
-/// the full `run_config` pipeline (hierarchy-traced) and bare untraced
-/// contexts around `compile_plan`/`run_plan`.
+/// Checks one IR-ported benchmark's config-specialized execution plan
+/// against the IR's reference interpreter (the default `Benchmark::run`)
+/// under a random mixed-precision configuration drawn from `seed`: same
+/// output bits, same operation counts and, on the traced arm, same cache
+/// statistics. The traced arm runs the full `run_config` pipeline against
+/// the reference in a fresh hierarchy; the untraced arm runs bare contexts
+/// around `compile_plan`/`run_plan`.
+fn plan_matches_reference(bench: &dyn Benchmark, seed: u64, traced: bool) -> Result<(), String> {
+    use mixp_core::perf::{CacheParams, Hierarchy};
+    let prog = bench.ir_program().expect("ten kernels and hotspot are IR-ported");
+    let pm = bench.program();
+    let mut cfg = pm.config_all_double();
+    let mut rng = SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1));
+    for v in pm.tunable_vars() {
+        match rng.next_range(4) {
+            0 | 1 => {}
+            2 => cfg.set(v, mixp_float::Precision::Single),
+            _ => cfg.set(v, mixp_float::Precision::Half),
+        }
+    }
+
+    let (r_out, r_counts, p_out, p_counts) = if traced {
+        let params = CacheParams::default();
+        let mut hierarchy = Hierarchy::new(params);
+        let (r_out, r_counts) = {
+            let mut ctx = ExecCtx::with_tracer(&cfg, &mut hierarchy);
+            (bench.run(&mut ctx), ctx.counts())
+        };
+        let (p_out, p_counts, p_stats) = mixp_core::run_config(bench, &cfg, params);
+        prop_assert_eq!(hierarchy.stats(), p_stats, "{} cache stats diverge", bench.name());
+        (r_out, r_counts, p_out, p_counts)
+    } else {
+        let plan = mixp_core::compile_plan(prog, &cfg);
+        let mut r_ctx = ExecCtx::new(&cfg);
+        let mut p_ctx = ExecCtx::new(&cfg);
+        let r_out = bench.run(&mut r_ctx);
+        let p_out = mixp_core::run_plan(&plan, &mut p_ctx);
+        (r_out, r_ctx.counts(), p_out, p_ctx.counts())
+    };
+    prop_assert_eq!(r_out.len(), p_out.len());
+    for (r, p) in r_out.iter().zip(&p_out) {
+        prop_assert_eq!(r.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
+    }
+    prop_assert_eq!(r_counts, p_counts, "{} op counts diverge", bench.name());
+    Ok(())
+}
+
+/// Every IR-ported kernel's execution plan is bit-identical to the
+/// reference interpreter for arbitrary mixed-precision configurations, on
+/// both the traced and untraced arms. (The name predates the interpreter:
+/// the reference used to be each kernel's hand-written `run`.)
 #[test]
 fn ir_plans_are_bit_identical_to_handwritten_kernels() {
     prop_check!((pick in usizes(0..10), seed in u64s(0..1_000_000), traced in bools()) => {
@@ -485,107 +530,31 @@ fn ir_plans_are_bit_identical_to_handwritten_kernels() {
             let mut all = mixp_kernels::all_kernels_small();
             all.swap_remove(pick % all.len())
         };
-        let prog = bench.ir_program().expect("all ten kernels are IR-ported");
-        let pm = bench.program();
-        let mut cfg = pm.config_all_double();
-        let mut rng = SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1));
-        for v in pm.tunable_vars() {
-            match rng.next_range(4) {
-                0 | 1 => {}
-                2 => cfg.set(v, mixp_float::Precision::Single),
-                _ => cfg.set(v, mixp_float::Precision::Half),
-            }
-        }
-
-        if traced {
-            let params = mixp_core::CacheParams::default();
-            let (d_out, d_counts, d_stats) =
-                mixp_core::run_config_direct(bench.as_ref(), &cfg, params);
-            let (p_out, p_counts, p_stats) = mixp_core::run_config(bench.as_ref(), &cfg, params);
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
-            }
-            prop_assert_eq!(d_counts, p_counts, "{} op counts diverge", bench.name());
-            prop_assert_eq!(d_stats, p_stats, "{} cache stats diverge", bench.name());
-        } else {
-            let plan = mixp_core::compile_plan(prog, &cfg);
-            let (d_out, d_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (bench.run(&mut ctx), ctx.counts())
-            };
-            let (p_out, p_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (mixp_core::run_plan(&plan, &mut ctx), ctx.counts())
-            };
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "{} outputs diverge", bench.name());
-            }
-            prop_assert_eq!(d_counts, p_counts, "{} op counts diverge", bench.name());
-        }
+        plan_matches_reference(bench.as_ref(), seed, traced)?;
     });
 }
 
-/// The first IR-ported *application* (hotspot) satisfies the same
-/// bit-identity contract as the 10 kernels: its unrolled stencil IR —
-/// per-iteration charges, three row segments with boundary streams, the
-/// `tc`/`delta` scratch-scalar roundings (`LetScal`), and the grid
-/// ping-pong — reproduces the hand-written `run` exactly for arbitrary
-/// mixed configurations, on both the traced and untraced arms.
+/// Hotspot's unrolled stencil IR — per-iteration charges, three row
+/// segments with boundary streams, the `tc`/`delta` scratch-scalar
+/// roundings (`LetScal`), and the grid ping-pong — holds the same
+/// plan-vs-reference bit-identity as the ten kernels. (The name predates
+/// the interpreter: the reference used to be hotspot's hand-written `run`.)
 #[test]
 fn ir_plan_is_bit_identical_to_handwritten_hotspot() {
     prop_check!((seed in u64s(0..1_000_000), traced in bools()) => {
-        let bench = mixp_apps::Hotspot::small();
-        let prog = bench.ir_program().expect("hotspot is IR-ported");
-        let pm = bench.program();
-        let mut cfg = pm.config_all_double();
-        let mut rng = SplitMix64::new(seed.wrapping_mul(2).wrapping_add(1));
-        for v in pm.tunable_vars() {
-            match rng.next_range(4) {
-                0 | 1 => {}
-                2 => cfg.set(v, mixp_float::Precision::Single),
-                _ => cfg.set(v, mixp_float::Precision::Half),
-            }
-        }
-
-        if traced {
-            let params = mixp_core::CacheParams::default();
-            let (d_out, d_counts, d_stats) = mixp_core::run_config_direct(&bench, &cfg, params);
-            let (p_out, p_counts, p_stats) = mixp_core::run_config(&bench, &cfg, params);
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "hotspot outputs diverge");
-            }
-            prop_assert_eq!(d_counts, p_counts, "hotspot op counts diverge");
-            prop_assert_eq!(d_stats, p_stats, "hotspot cache stats diverge");
-        } else {
-            let plan = mixp_core::compile_plan(prog, &cfg);
-            let (d_out, d_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (bench.run(&mut ctx), ctx.counts())
-            };
-            let (p_out, p_counts) = {
-                let mut ctx = ExecCtx::new(&cfg);
-                (mixp_core::run_plan(&plan, &mut ctx), ctx.counts())
-            };
-            prop_assert_eq!(d_out.len(), p_out.len());
-            for (d, p) in d_out.iter().zip(&p_out) {
-                prop_assert_eq!(d.to_bits(), p.to_bits(), "hotspot outputs diverge");
-            }
-            prop_assert_eq!(d_counts, p_counts, "hotspot op counts diverge");
-        }
+        plan_matches_reference(&mixp_apps::Hotspot::small(), seed, traced)?;
     });
 }
 
 /// The evaluator's plan path (shared `PlanCache`, any worker count, batch
 /// or sequential submission) reports the same records as an evaluator
-/// forced onto the hand-written path — including non-compiling
-/// cluster-splitting configurations and the all-double reference run.
+/// forced onto `Benchmark::run` — the reference interpreter — including
+/// non-compiling cluster-splitting configurations and the all-double
+/// reference run.
 #[test]
 fn evaluator_plan_path_matches_direct_for_kernels() {
-    /// Forwards a benchmark but hides its IR port, pinning the evaluator
-    /// to the hand-written `run` path.
+    /// Forwards a benchmark but hides its IR program, pinning the
+    /// evaluator to `Benchmark::run`.
     struct DirectOnly<'a>(&'a dyn Benchmark);
     impl Benchmark for DirectOnly<'_> {
         fn name(&self) -> &str {
